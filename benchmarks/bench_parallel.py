@@ -9,10 +9,11 @@ Two phases:
 
 * **Parity** (every machine): the spilled stream build + ``StreamingGD``
   and the factorized operators run at 1, 2 and 8 workers on a small
-  scenario.  Built factors must be bit-identical to the serial build,
-  operator outputs and GD weights within 1e-8 of serial and bit-identical
-  between any two parallel worker counts, and the ``FlopCounter`` totals
-  exactly equal (parallel paths charge the legacy per-factor formulas).
+  scenario.  Built factors must be bit-identical to the serial build, GD
+  weights within 1e-8 of serial and bit-identical between any two
+  parallel worker counts, and the resident operator outputs and
+  ``FlopCounter`` totals bit-identical at every worker count (the
+  operators run one per-factor plan and never fan out).
 
 * **Scaling** (core-count aware): the 450k×287 streaming scenario from
   ``bench_streaming`` — hashed chunk ingest → spilled factor build → six
@@ -112,10 +113,7 @@ def run_parity() -> dict:
     )
     weights_bitwise_2v8 = bool(np.array_equal(runs[2][1], runs[8][1]))
 
-    # Factorized operators across worker counts, forced onto the blocked
-    # path regardless of scale.
-    parallel.set_min_parallel_rows(0)
-    parallel.set_block_rows(997)
+    # Resident factorized operators across worker counts.
     dataset = generate_scenario_dataset(PARITY_SPEC)
     outputs = {}
     for workers in PARITY_WORKERS:
@@ -133,6 +131,11 @@ def run_parity() -> dict:
         for workers in PARITY_WORKERS[1:]
         for i, serial in enumerate((lmm1, tlmm1, gram1))
     )
+    operators_identical = all(
+        np.array_equal(outputs[workers][i], serial)
+        for workers in PARITY_WORKERS[1:]
+        for i, serial in enumerate((lmm1, tlmm1, gram1))
+    )
     flops_equal = all(outputs[workers][3] == flops1 for workers in PARITY_WORKERS[1:])
     return {
         "worker_counts": list(PARITY_WORKERS),
@@ -140,6 +143,7 @@ def run_parity() -> dict:
         "max_weight_diff": max_weight_diff,
         "weights_bitwise_2v8": weights_bitwise_2v8,
         "max_operator_diff": max_operator_diff,
+        "operators_bit_identical": operators_identical,
         "flop_counters_equal": bool(flops_equal),
     }
 
@@ -229,10 +233,6 @@ def run_benchmark() -> dict:
     cores = parallel.available_cores()
     with tempfile.TemporaryDirectory(prefix="bench-parallel-") as tmp:
         parity = run_parity()
-        # run_parity leaves the tuned thresholds behind; restore defaults
-        # so the scaling phase sees the stock configuration.
-        parallel.set_min_parallel_rows(parallel.DEFAULT_MIN_PARALLEL_ROWS)
-        parallel.set_block_rows(parallel.DEFAULT_BLOCK_ROWS)
         scaling = run_scaling(Path(tmp), cores)
     parallel.set_num_workers(None)
     return {"cores": cores, "parity": parity, "scaling": scaling}
@@ -250,9 +250,10 @@ def check_guards(results: dict) -> list:
         )
     if not parity["weights_bitwise_2v8"]:
         failures.append("GD weights differ between 2 and 8 workers")
-    if parity["max_operator_diff"] > PARITY_TOLERANCE:
+    if not parity["operators_bit_identical"]:
         failures.append(
-            f"parallel operators off serial by {parity['max_operator_diff']:.2e}"
+            "resident operators differ across worker counts "
+            f"(max {parity['max_operator_diff']:.2e})"
         )
     if not parity["flop_counters_equal"]:
         failures.append("parallel FLOP counters diverged from the serial formulas")
@@ -281,11 +282,11 @@ def report_lines(results: dict) -> list:
     parity = results["parity"]
     scaling = results["scaling"]
     return [
-        "parallel parity: factors identical=%s weight diff=%.2e operator diff=%.2e "
-        "flops equal=%s"
+        "parallel parity: factors identical=%s weight diff=%.2e "
+        "operators identical=%s flops equal=%s"
         % (
             parity["factors_bit_identical"], parity["max_weight_diff"],
-            parity["max_operator_diff"], parity["flop_counters_equal"],
+            parity["operators_bit_identical"], parity["flop_counters_equal"],
         ),
         "scaling %s (%d cores): serial %.1fs, %d workers %.1fs -> %.2fx (%s)"
         % (

@@ -17,17 +17,15 @@ term instead of a full Hadamard product: the rewrite computes the cheap
 ``I_k (D_k (M_kᵀ X))`` and subtracts the contribution of the (few)
 redundant cells.
 
-Execution is block-parallel above a row threshold: when
-:mod:`repro.parallel` is configured with more than one worker and the
-target has at least ``REPRO_PARALLEL_MIN_ROWS`` rows, ``lmm`` /
-``transpose_lmm`` / ``crossprod`` fan their row blocks over the shared
-worker pool and reduce the partial results on the calling thread in
-fixed block order. The partition depends only on the block size — never
-the worker count — so parallel results are identical at any worker count
->= 2 and agree with the serial path to reassociation (<= 1e-8); one
-worker is the exact legacy path. FLOP counters are charged with the
-legacy per-factor formulas on the calling thread, preserving the
-telemetry mirror parity regardless of blocking.
+``lmm`` / ``transpose_lmm`` / ``crossprod`` always run the compiled
+per-factor plans: gather the operand rows, one backend matmul per
+``D_k`` in its source dimension (BLAS threads the dense ones), then
+lift or scatter into the target. They never split the target into row
+blocks, so each ``D_k`` is read once and never expanded to target
+size, and results and FLOP counters do not depend on
+:mod:`repro.parallel`'s worker count.
+Row-block execution lives in :meth:`AmalurMatrix.blocked`, for the
+out-of-core :class:`repro.learning.StreamingGD` and serving windows.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import sparse
 
-from repro import parallel as _parallel
 from repro import telemetry as _telemetry
 from repro.backends import Backend, BackendSpec, resolve_backend
 from repro.backends.base import as_float64 as _as_float64
@@ -83,10 +80,6 @@ class AmalurMatrix:
         # Gram cache for crossprod(); factors are immutable, so TᵀT never
         # changes for this view unless explicitly invalidated.
         self.gram_cache = GramCache()
-        # Row-block view over all columns, built lazily on the calling
-        # thread the first time an operator takes the parallel path (so
-        # the plans' correction caches are populated before fan-out).
-        self._blocked_view: Optional[BlockedMatrixView] = None
 
     # -- shapes ---------------------------------------------------------------------
     @property
@@ -173,49 +166,8 @@ class AmalurMatrix:
                 return self._lmm(x)
         return self._lmm(x)
 
-    def _full_blocked_view(self) -> BlockedMatrixView:
-        if self._blocked_view is None:
-            self._blocked_view = self.blocked()
-        return self._blocked_view
-
-    def _row_block_bounds(self) -> List[Tuple[int, int]]:
-        return list(self._full_blocked_view().row_blocks(_parallel.get_block_rows()))
-
-    def _charge_lmm_flops(self, m: int) -> None:
-        """The legacy per-factor ``lmm.*`` charges, independent of blocking."""
-        for plan, storage in zip(self._plans, self._storages):
-            self.counter.add("lmm.local", self.backend.matmul_flops(storage, m))
-            self.counter.add("lmm.lift", float(plan.n_mapped_rows) * m)
-            if plan.has_correction:
-                self.counter.add("lmm.correction", float(plan.correction().nnz) * m)
-
-    def _charge_transpose_lmm_flops(self, m: int) -> None:
-        """The legacy per-factor ``tlmm.*`` charges, independent of blocking."""
-        for plan, storage in zip(self._plans, self._storages):
-            self.counter.add("tlmm.project", float(plan.n_mapped_rows) * m)
-            self.counter.add("tlmm.local", self.backend.matmul_flops(storage, m))
-            self.counter.add("tlmm.scatter", float(plan.n_mapped_cols) * m)
-            if plan.has_correction:
-                self.counter.add("tlmm.correction", float(plan.correction().nnz) * m)
-
-    def _lmm_blocked(self, x: np.ndarray) -> np.ndarray:
-        """Block-parallel ``T @ X``: each worker fills a disjoint row slice."""
-        m = x.shape[1]
-        view = self._full_blocked_view()
-        result = np.zeros((self.n_rows, m))
-
-        def _fill(bounds: Tuple[int, int]) -> None:
-            start, stop = bounds
-            result[start:stop] = view.lmm_block(x, start, stop)
-
-        _parallel.parallel_map(_fill, self._row_block_bounds(), label="lmm")
-        self._charge_lmm_flops(m)
-        return result
-
     def _lmm(self, x: np.ndarray) -> np.ndarray:
         m = x.shape[1]
-        if _parallel.should_parallelize(self.n_rows):
-            return self._lmm_blocked(x)
         result = np.zeros((self.n_rows, m))
         for plan, storage in zip(self._plans, self._storages):
             gathered = plan.gather_operand_rows(x)  # (c_Sk × m)
@@ -267,31 +219,8 @@ class AmalurMatrix:
                 return self._transpose_lmm(x)
         return self._transpose_lmm(x)
 
-    def _transpose_lmm_blocked(self, x: np.ndarray) -> np.ndarray:
-        """Block-parallel ``Tᵀ @ X``: per-block partial sums reduced in
-        block order on the calling thread (deterministic reassociation)."""
-        m = x.shape[1]
-        view = self._full_blocked_view()
-
-        def _partial(bounds: Tuple[int, int]) -> np.ndarray:
-            start, stop = bounds
-            out = np.zeros((self.n_columns, m))
-            view.transpose_lmm_add(x[start:stop], start, stop, out)
-            return out
-
-        partials = _parallel.parallel_map(
-            _partial, self._row_block_bounds(), label="transpose_lmm"
-        )
-        result = np.zeros((self.n_columns, m))
-        for partial in partials:
-            result += partial
-        self._charge_transpose_lmm_flops(m)
-        return result
-
     def _transpose_lmm(self, x: np.ndarray) -> np.ndarray:
         m = x.shape[1]
-        if _parallel.should_parallelize(self.n_rows):
-            return self._transpose_lmm_blocked(x)
         result = np.zeros((self.n_columns, m))
         for plan, storage in zip(self._plans, self._storages):
             projected = plan.project_rows(x)  # (r_Sk × m)
@@ -339,68 +268,7 @@ class AmalurMatrix:
         for plan in self._plans:
             plan.invalidate()
 
-    def _compute_gram_blocked(self) -> np.ndarray:
-        """Block-parallel ``Tᵀ T``: row-block partial sums of every
-        same-source and cross-source term, reduced in a fixed task order.
-
-        The effective contributions and shared-row intersections are
-        prepared serially (they populate the plan caches); only the
-        ``blockᵀ block`` / ``leftᵀ right`` partial products fan out.
-        FLOP charges are the legacy whole-block formulas.
-        """
-        gram = np.zeros((self.n_columns, self.n_columns))
-        effective = [plan.effective_contribution() for plan in self._plans]
-        block_rows = _parallel.get_block_rows()
-        # (compute, target_rows_ix, transpose_target_ix_or_None), in the
-        # deterministic order the reduction below replays.
-        tasks: List[Tuple] = []
-        for k, (rows_k, block_k, cols_k) in enumerate(effective):
-            n_k = block_k.shape[0]
-            ix_same = np.ix_(cols_k, cols_k)
-            for lo in range(0, max(n_k, 1), block_rows):
-                hi = min(lo + block_rows, n_k)
-                tasks.append((self._gram_local_task(block_k, lo, hi), ix_same, None))
-            self.counter.add("crossprod.local", self.backend.crossprod_flops(block_k))
-            for other in range(k + 1, self.dataset.n_sources):
-                rows_l, block_l, cols_l = effective[other]
-                shared, idx_k, idx_l = np.intersect1d(
-                    rows_k, rows_l, assume_unique=False, return_indices=True
-                )
-                if shared.size == 0:
-                    continue
-                left = self.backend.take_rows(block_k, idx_k)
-                right = self.backend.take_rows(block_l, idx_l)
-                for lo in range(0, shared.size, block_rows):
-                    hi = min(lo + block_rows, shared.size)
-                    tasks.append(
-                        (
-                            self._gram_cross_task(left, right, lo, hi),
-                            np.ix_(cols_k, cols_l),
-                            np.ix_(cols_l, cols_k),
-                        )
-                    )
-                self.counter.add(
-                    "crossprod.cross", self.backend.gram_pair_flops(left, right)
-                )
-        partials = _parallel.parallel_map(
-            lambda task: task[0](), tasks, label="crossprod"
-        )
-        for (_, ix, ix_t), partial in zip(tasks, partials):
-            gram[ix] += partial
-            if ix_t is not None:
-                gram[ix_t] += partial.T
-        gram.setflags(write=False)
-        return gram
-
-    def _gram_local_task(self, block, lo: int, hi: int):
-        return lambda: self.backend.crossprod(block[lo:hi])
-
-    def _gram_cross_task(self, left, right, lo: int, hi: int):
-        return lambda: self.backend.gram_pair(left[lo:hi], right[lo:hi])
-
     def _compute_gram(self) -> np.ndarray:
-        if _parallel.should_parallelize(self.n_rows):
-            return self._compute_gram_blocked()
         gram = np.zeros((self.n_columns, self.n_columns))
         effective = [plan.effective_contribution() for plan in self._plans]
         for k, (rows_k, block_k, cols_k) in enumerate(effective):

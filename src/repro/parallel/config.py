@@ -1,6 +1,6 @@
 """Parallelism knobs for the block-parallel execution engine.
 
-Three environment variables configure the engine at import time; each has
+Two environment variables configure the engine at import time; each has
 a runtime setter so tests and benchmarks can reconfigure without touching
 the environment:
 
@@ -10,16 +10,11 @@ the environment:
     legacy serial path everywhere (not merely a one-worker pool).
 
 ``REPRO_PARALLEL_MIN_ROWS``
-    Row-count threshold below which the factorized operators stay on the
-    serial path even when more workers are configured — small matrices
-    lose more to task dispatch than they gain from extra cores.
-
-``REPRO_PARALLEL_BLOCK_ROWS``
-    Row-block size used when an operator partitions work itself (the
-    streaming paths reuse their own chunk/block sizes). The partition is
-    a pure function of this value and the matrix shape — never of the
-    worker count — which is what keeps results identical across worker
-    counts >= 2.
+    Row-count threshold below which :class:`repro.learning.StreamingGD`
+    runs its row blocks serially even when more workers are configured —
+    small matrices lose more to task dispatch than they gain from extra
+    cores. The resident factorized operators never fan out; BLAS threads
+    their per-factor matmuls.
 """
 
 from __future__ import annotations
@@ -30,7 +25,6 @@ from contextlib import contextmanager
 from typing import Iterator, Optional
 
 DEFAULT_MIN_PARALLEL_ROWS = 65_536
-DEFAULT_BLOCK_ROWS = 65_536
 
 
 def available_cores() -> int:
@@ -55,7 +49,6 @@ def _env_int(name: str, default: int, minimum: int = 1) -> int:
 _lock = threading.Lock()
 _num_workers = _env_int("REPRO_NUM_THREADS", available_cores())
 _min_parallel_rows = _env_int("REPRO_PARALLEL_MIN_ROWS", DEFAULT_MIN_PARALLEL_ROWS, minimum=0)
-_block_rows = _env_int("REPRO_PARALLEL_BLOCK_ROWS", DEFAULT_BLOCK_ROWS)
 
 
 def get_num_workers() -> int:
@@ -78,16 +71,6 @@ def set_min_parallel_rows(rows: int) -> None:
     global _min_parallel_rows
     with _lock:
         _min_parallel_rows = max(0, int(rows))
-
-
-def get_block_rows() -> int:
-    return _block_rows
-
-
-def set_block_rows(rows: int) -> None:
-    global _block_rows
-    with _lock:
-        _block_rows = max(1, int(rows))
 
 
 @contextmanager

@@ -163,11 +163,17 @@ def infer_type(values: Iterable[Any]) -> DataType:
 
 
 def _parse_string(text: str) -> Any:
-    """Parse a string into bool/int/float if possible, else return it."""
+    """Parse a string into bool/int/float if possible, else return it.
+
+    Digit-group underscores (``"1_000"``), which Python's ``int()`` and
+    ``float()`` accept, mark a string: CSV numbers never carry them.
+    """
     stripped = text.strip()
     lowered = stripped.lower()
     if lowered in ("true", "false"):
         return lowered == "true"
+    if "_" in stripped:
+        return text
     try:
         return int(stripped)
     except ValueError:

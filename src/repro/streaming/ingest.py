@@ -291,10 +291,18 @@ def parse_cell_block(cells: Sequence[str]) -> ParsedColumnBlock:
             block.int_pos = int_sel
             block.int_vals = int_vals
 
-    float_sel = rest_pos[~int_cand]
+    float_cand = ~int_cand
+    # Python's float() accepts digit-group underscores ("1_000"); a CSV
+    # number never carries them, so such cells take the scalar path,
+    # which reads them as strings.
+    underscored = float_cand & (np.char.find(rest, "_") >= 0)
+    if underscored.any():
+        block._scalar_fallback(cells, rest_pos[underscored])
+        float_cand &= ~underscored
+    float_sel = rest_pos[float_cand]
     if float_sel.size:
         try:
-            values = rest[~int_cand].astype(np.float64)
+            values = rest[float_cand].astype(np.float64)
         except (ValueError, OverflowError):
             block._scalar_fallback(cells, float_sel)
         else:
@@ -346,7 +354,9 @@ class ChunkedCsvReader(TableChunkStream):
         :class:`TableError` carrying the offending row number, never a
         bare ``ValueError`` from the stdlib.
         """
-        with self._path.open(newline="") as handle:
+        # utf-8-sig drops a leading byte-order mark (spreadsheet exports),
+        # which would otherwise stick to the first column name.
+        with self._path.open(newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle, delimiter=self._delimiter)
             try:
                 header = next(reader)
@@ -410,6 +420,15 @@ class ChunkedCsvReader(TableChunkStream):
         return [parse_cell_block(transposed[i]) for i in range(len(header))]
 
     def _schema_from_flags(self, header: List[str], flags: List[ColumnTypeFlags]) -> Schema:
+        declared = list(self._key_columns)
+        if self._label_column is not None:
+            declared.append(self._label_column)
+        missing = [name for name in declared if name not in header]
+        if missing:
+            raise TableError(
+                f"CSV file {self._path} has no column(s) {missing} "
+                f"declared as key/label; header is {header}"
+            )
         return Schema(
             [
                 Column(

@@ -11,8 +11,6 @@ from repro import parallel
 def restore_parallel_config():
     workers = parallel.get_num_workers()
     min_rows = parallel.get_min_parallel_rows()
-    block_rows = parallel.get_block_rows()
     yield
     parallel.set_num_workers(workers)
     parallel.set_min_parallel_rows(min_rows)
-    parallel.set_block_rows(block_rows)

@@ -7,8 +7,8 @@ The contract under test, for every scenario x chunk size x worker count:
 * StreamingGD weights agree with the single-threaded fit to <= 1e-8, and
   are bit-identical between any two worker counts >= 2 (fixed partition +
   ordered reduction);
-* the factorized operators agree with the serial rewrites to <= 1e-8 with
-  exactly equal FLOP counters;
+* the resident factorized operators are bit-identical at every worker
+  count, with exactly equal FLOP counters, and never fan out row blocks;
 * chunked CSV ingest produces byte-identical chunks.
 """
 
@@ -19,12 +19,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import parallel
+from repro import parallel, telemetry
 from repro.datagen.scenarios import (
     ScenarioSpec,
     generate_scenario_dataset,
     generate_scenario_streams,
 )
+from repro.datagen.synthetic import OneHotSpec, generate_one_hot_pair
 from repro.factorized.normalized_matrix import AmalurMatrix
 from repro.learning import StreamingGD
 from repro.metadata.mappings import ScenarioType
@@ -92,34 +93,70 @@ class TestBuildAndTrainParity:
         assert results[2][2] == results[8][2]
 
 
-class TestOperatorParity:
-    @pytest.mark.parametrize("scenario", list(ScenarioType), ids=lambda s: s.value)
-    def test_parallel_operators_match_serial(self, scenario):
-        dataset = generate_scenario_dataset(_spec(scenario))
-        parallel.set_min_parallel_rows(0)
-        parallel.set_block_rows(29)
+STAR_ROWS = 70_000  # above the default REPRO_PARALLEL_MIN_ROWS (65,536)
 
-        outputs = {}
-        for workers in WORKER_COUNTS:
-            parallel.set_num_workers(workers)
-            matrix = AmalurMatrix(dataset)
-            x = np.random.default_rng(6).standard_normal((matrix.n_columns, 3))
-            xt = np.random.default_rng(7).standard_normal((matrix.n_rows, 2))
-            outputs[workers] = (
-                matrix.lmm(x),
-                matrix.transpose_lmm(xt),
-                matrix.crossprod(),
-                matrix.counter.total,
-            )
-        lmm1, tlmm1, gram1, flops1 = outputs[1]
-        for workers in WORKER_COUNTS[1:]:
-            lmm, tlmm, gram, flops = outputs[workers]
-            assert np.max(np.abs(lmm - lmm1)) <= TOLERANCE
-            assert np.max(np.abs(tlmm - tlmm1)) <= TOLERANCE
-            assert np.max(np.abs(gram - gram1)) <= TOLERANCE
-            assert flops == flops1, "parallel paths must charge the legacy FLOPs"
-        for left, right in zip(outputs[2][:3], outputs[8][:3]):
-            assert np.array_equal(left, right)
+
+def _operator_outputs(dataset, workers):
+    """``lmm``, ``transpose_lmm``, ``crossprod`` and the FLOP total at a
+    worker count, plus the names of the spans recorded meanwhile."""
+    parallel.set_num_workers(workers)
+    matrix = AmalurMatrix(dataset)
+    x = np.random.default_rng(6).standard_normal((matrix.n_columns, 3))
+    xt = np.random.default_rng(7).standard_normal((matrix.n_rows, 2))
+    with telemetry.collect(sample_memory=False) as session:
+        outputs = (
+            matrix.lmm(x),
+            matrix.transpose_lmm(xt),
+            matrix.crossprod(),
+            matrix.counter.total,
+        )
+    return outputs, {record.name for record in session.tracer.records}
+
+
+def _assert_worker_invariant(dataset):
+    outputs = {}
+    for workers in WORKER_COUNTS:
+        outputs[workers], spans = _operator_outputs(dataset, workers)
+        assert {"amalur.lmm", "amalur.transpose_lmm", "amalur.crossprod"} <= spans
+        assert "parallel.map" not in spans, (
+            f"resident operators fanned out at {workers} workers"
+        )
+    lmm1, tlmm1, gram1, flops1 = outputs[1]
+    for workers in WORKER_COUNTS[1:]:
+        lmm, tlmm, gram, flops = outputs[workers]
+        assert np.array_equal(lmm, lmm1)
+        assert np.array_equal(tlmm, tlmm1)
+        assert np.array_equal(gram, gram1)
+        assert flops == flops1
+
+
+class TestOperatorParity:
+    """The resident operators run one per-factor plan at every worker
+    count: bit-identical results and FLOP counters, and no row-block
+    fan-out at any size."""
+
+    @pytest.mark.parametrize("scenario", list(ScenarioType), ids=lambda s: s.value)
+    def test_operators_bit_identical_across_workers(self, scenario):
+        # A zero threshold would send every row-partitioned map to the
+        # pool; the resident operators must ignore it.
+        parallel.set_min_parallel_rows(0)
+        _assert_worker_invariant(generate_scenario_dataset(_spec(scenario)))
+
+    def test_star_join_above_threshold_bit_identical(self):
+        dataset = generate_one_hot_pair(
+            OneHotSpec(n_rows=STAR_ROWS, n_categories=500, seed=3), backend="auto"
+        )
+        parallel.set_min_parallel_rows(parallel.DEFAULT_MIN_PARALLEL_ROWS)
+        assert dataset.shape[0] >= parallel.get_min_parallel_rows()
+        _assert_worker_invariant(dataset)
+
+    def test_span_check_sees_a_real_fan_out(self):
+        # The "no parallel.map span" assertions above are only meaningful
+        # if a map that does fan out records one.
+        parallel.set_num_workers(2)
+        with telemetry.collect(sample_memory=False) as session:
+            parallel.parallel_map(lambda i: i, range(4), label="probe")
+        assert "parallel.map" in {r.name for r in session.tracer.records}
 
 
 class TestIngestParity:

@@ -1,5 +1,6 @@
 """Chunked CSV ingest parity: ChunkedCsvReader vs the materialized read_csv."""
 
+import codecs
 import csv
 
 import numpy as np
@@ -18,7 +19,7 @@ MESSY_CELLS = [
     "+5", "007", "--5", "9223372036854775807", "9223372036854775808",
     "9999999999999999999999999", "1e3", "1E-4", ".5", "5.", "abc", "a b",
     " spaced ", "0x10", "None", "TRUE", "12.0", "12.5", "\\null", "\\x",
-    "café", "5 5",
+    "café", "5 5", "1_000", "1_000.5", "_1", "1e1_0",
 ]
 
 
@@ -181,3 +182,53 @@ class TestWriteReadRoundTrip:
         path = tmp_path / "n.csv"
         write_csv(table, path)
         assert path.read_text().splitlines()[1] == "1"
+
+
+class TestHeaderDeclarations:
+    @pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
+    def test_byte_order_mark_stays_out_of_first_name(self, tmp_path, chunk_rows):
+        path = tmp_path / "bom.csv"
+        path.write_text("id,x\n1,0.5\n2,1.5\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(codecs.BOM_UTF8)
+        table = read_csv(path, key_columns=["id"])
+        reader = ChunkedCsvReader(path, key_columns=["id"], chunk_rows=chunk_rows)
+        for schema in (table.schema, reader.schema):
+            assert schema.names == ["id", "x"]
+            assert schema["id"].is_key and schema["id"].dtype is DataType.INT
+        assert table.column("id") == [1, 2]
+        assert reader.read().equals(table)
+
+    def test_undeclared_key_and_label_names_raise(self, tmp_path):
+        path = _write(tmp_path, "t.csv", "id,x\n1,0.5\n")
+        with pytest.raises(TableError) as info:
+            read_csv(path, key_columns=["id", "key2"], label_column="target")
+        assert "['key2', 'target']" in str(info.value)
+        with pytest.raises(TableError, match="'key2'"):
+            ChunkedCsvReader(path, key_columns=["key2"]).scan()
+        with pytest.raises(TableError, match="'target'"):
+            ChunkedCsvReader(path, label_column="target").read()
+
+
+class TestUnderscoredNumbers:
+    @pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
+    def test_underscored_cells_round_trip_as_strings(self, tmp_path, chunk_rows):
+        path = _write(tmp_path, "u.csv", "id,n\n1,1_000\n2,3\n")
+        written = tmp_path / "out" / "u.csv"
+        written.parent.mkdir()
+        write_csv(read_csv(path), written)
+        for source in (path, written):
+            tables = (
+                read_csv(source),
+                ChunkedCsvReader(source, chunk_rows=chunk_rows).read(),
+            )
+            for table in tables:
+                assert table.schema["n"].dtype is DataType.STRING
+                assert table.column("n") == ["1_000", "3"]
+        assert ChunkedCsvReader(path, chunk_rows=chunk_rows).schema["n"].dtype is (
+            DataType.STRING
+        )
+
+    def test_scalar_parser_keeps_underscores(self):
+        assert parse_cell("1_000") == "1_000"
+        assert parse_cell("1_000.5") == "1_000.5"
+        assert parse_cell("1000") == 1000
